@@ -107,7 +107,7 @@ func main() {
 	flag.StringVar(&o.algoName, "algo", "ktree-slack", "matching algorithm: ktree, ktree-slack, ktree-hotspot, bruteforce, branchbound, mip")
 	flag.Float64Var(&o.theta, "theta", 300, "hotspot radius in meters (ktree-hotspot)")
 	flag.BoolVar(&o.lazy, "lazy", false, "use lazy tree invalidation (paper §IV-A)")
-	flag.StringVar(&o.oracleSel, "oracle", "bidij+lru", "shortest-path backend: dijkstra, bidij, astar, alt, arcflags, hublabels, bidij+lru")
+	flag.StringVar(&o.oracleSel, "oracle", "bidij+lru", "shortest-path backend: dijkstra, bidij, hublabels, bidij+lru")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.BoolVar(&o.artOut, "art", false, "print the ART-by-request-count breakdown")
 	flag.BoolVar(&o.jsonOut, "json", false, "emit metrics as JSON instead of text")
@@ -156,12 +156,6 @@ func buildEngine(name string, g *roadnet.Graph) (engine func() sp.Oracle, cached
 		return func() sp.Oracle { return sp.NewDijkstra(g) }, false, nil
 	case "bidij":
 		return func() sp.Oracle { return sp.NewBidirectional(g) }, false, nil
-	case "astar":
-		return func() sp.Oracle { return sp.NewAStar(g) }, false, nil
-	case "alt":
-		return func() sp.Oracle { return sp.NewALT(g, 8) }, false, nil
-	case "arcflags":
-		return func() sp.Oracle { return sp.NewArcFlags(g, 6) }, false, nil
 	case "hublabels":
 		// Built once and shared: HubLabels is an sp.SharedOracle.
 		hl := sp.NewHubLabels(g)

@@ -482,9 +482,9 @@ func (h *Harness) ServiceRate() (*Table, error) {
 
 // OracleAblation compares end-to-end matching cost across shortest-path
 // backends at the tree defaults: on-demand Dijkstra, bidirectional
-// Dijkstra, A*, ALT, and the paper's design of a precomputed index behind
-// the dual LRU caches. It quantifies why §VI invests in hub labels and
-// caching: the matcher issues millions of distance queries.
+// Dijkstra, and the paper's design of a precomputed index behind the dual
+// LRU caches. It quantifies why §VI invests in hub labels and caching: the
+// matcher issues millions of distance queries.
 func (h *Harness) OracleAblation() (*Table, error) {
 	base := h.treeDefaults()
 	base.Algo = sim.AlgoTreeSlack
@@ -503,8 +503,6 @@ func (h *Harness) OracleAblation() (*Table, error) {
 	}{
 		{"dijkstra", func() sp.Oracle { return sp.NewDijkstra(h.World.Graph) }},
 		{"bidirectional", func() sp.Oracle { return sp.NewBidirectional(h.World.Graph) }},
-		{"astar", func() sp.Oracle { return sp.NewAStar(h.World.Graph) }},
-		{"alt", func() sp.Oracle { return sp.NewALT(h.World.Graph, 8) }},
 		{"bidirectional+lru", h.World.NewOracle},
 	}
 	for _, be := range backends {

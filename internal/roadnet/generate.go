@@ -18,10 +18,11 @@ type GridOptions struct {
 
 // Grid generates a jittered Manhattan-style grid network. Edge weights are
 // the Euclidean length between the (jittered) endpoints scaled by a random
-// factor in [1, 1+WeightVar], so Euclidean distance stays an admissible A*
-// lower bound. If DropFrac > 0, that fraction of edges is removed and the
-// largest connected component is returned, so the result may have slightly
-// fewer than Rows*Cols vertices.
+// factor in [1, 1+WeightVar], so Euclidean distance stays a lower bound on
+// network distance; sim.Worker.Trial's out-of-reach skip and the grid
+// candidate radius both rely on that. If DropFrac > 0, that fraction of
+// edges is removed and the largest connected component is returned, so the
+// result may have slightly fewer than Rows*Cols vertices.
 func Grid(opt GridOptions) (*Graph, error) {
 	if opt.Rows < 2 || opt.Cols < 2 {
 		return nil, fmt.Errorf("roadnet: grid needs at least 2x2 vertices, got %dx%d", opt.Rows, opt.Cols)

@@ -68,8 +68,8 @@ func (g *Graph) EdgeWeight(u, v VertexID) (float64, bool) {
 
 // EuclideanDist returns the straight-line distance between two vertices in
 // meters. It is a lower bound on network distance for generator-produced
-// graphs whose weights are at least the Euclidean edge length, which makes
-// it admissible as an A* heuristic.
+// graphs whose weights are at least the Euclidean edge length, which is
+// what lets the dispatcher skip vehicles by straight-line distance.
 func (g *Graph) EuclideanDist(u, v VertexID) float64 {
 	dx := g.xs[u] - g.xs[v]
 	dy := g.ys[u] - g.ys[v]

@@ -88,7 +88,10 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	if n > maxReasonable || m > maxReasonable {
 		return nil, fmt.Errorf("roadnet: implausible sizes n=%d m=%d", n, m)
 	}
-	b := NewBuilder(int(n))
+	// Grow the builder vertex by vertex rather than pre-sizing it from the
+	// header, so memory follows the bytes actually read: a forged n cannot
+	// allocate gigabytes before the input runs out.
+	b := NewBuilder(0)
 	for i := uint32(0); i < n; i++ {
 		var x, y float64
 		if err := binary.Read(br, binary.LittleEndian, &x); err != nil {
@@ -97,10 +100,10 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 		if err := binary.Read(br, binary.LittleEndian, &y); err != nil {
 			return nil, fmt.Errorf("roadnet: reading coord %d: %w", i, err)
 		}
-		if math.IsNaN(x) || math.IsNaN(y) {
-			return nil, fmt.Errorf("roadnet: NaN coordinate at vertex %d", i)
+		if !isFinite(x) || !isFinite(y) {
+			return nil, fmt.Errorf("roadnet: non-finite coordinate (%v, %v) at vertex %d", x, y, i)
 		}
-		b.SetCoord(VertexID(i), x, y)
+		b.AddVertex(x, y)
 	}
 	for i := uint32(0); i < m; i++ {
 		var u, v uint32
@@ -118,3 +121,5 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	}
 	return b.Build()
 }
+
+func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

@@ -2,8 +2,11 @@ package roadnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -80,7 +83,7 @@ func TestGridWeightsAdmissible(t *testing.T) {
 		ts, ws := g.Neighbors(VertexID(v))
 		for i, u := range ts {
 			if ws[i] < g.EuclideanDist(VertexID(v), u)-1e-9 {
-				t.Fatalf("edge (%d,%d) weight %.2f below Euclidean %.2f — A* heuristic would be inadmissible",
+				t.Fatalf("edge (%d,%d) weight %.2f below Euclidean %.2f — Euclidean distance would not lower-bound network distance",
 					v, u, ws[i], g.EuclideanDist(VertexID(v), u))
 			}
 		}
@@ -204,6 +207,98 @@ func TestReadGraphRejectsGarbage(t *testing.T) {
 	if _, err := ReadGraph(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected error for empty input")
 	}
+}
+
+// rawGraph encodes an RNG1 header declaring n vertices and m edges,
+// followed by the given coordinate values and nothing else.
+func rawGraph(n, m uint32, coords ...float64) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(graphMagic)
+	binary.Write(&buf, binary.LittleEndian, n)
+	binary.Write(&buf, binary.LittleEndian, m)
+	for _, c := range coords {
+		binary.Write(&buf, binary.LittleEndian, c)
+	}
+	return buf.Bytes()
+}
+
+// TestReadGraphHugeHeaderBoundedAlloc checks that a header claiming 2^28
+// vertices over a 12-byte input fails without allocating for the claim.
+func TestReadGraphHugeHeaderBoundedAlloc(t *testing.T) {
+	in := rawGraph(1<<28, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadGraph(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("expected error for truncated huge-n input")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("ReadGraph allocated %d bytes for a %d-byte input, want < 1 MiB", d, len(in))
+	}
+}
+
+func TestReadGraphRejectsNonFiniteCoords(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		coords []float64
+	}{
+		{"nan-x", []float64{0, 0, math.NaN(), 0}},
+		{"nan-y", []float64{0, 0, 0, math.NaN()}},
+		{"inf-x", []float64{0, 0, math.Inf(1), 0}},
+		{"neg-inf-y", []float64{0, 0, 0, math.Inf(-1)}},
+	} {
+		_, err := ReadGraph(bytes.NewReader(rawGraph(2, 0, c.coords...)))
+		if err == nil {
+			t.Fatalf("%s: accepted a non-finite coordinate", c.name)
+		}
+		if !strings.Contains(err.Error(), "vertex 1") {
+			t.Fatalf("%s: error %q does not name vertex 1", c.name, err)
+		}
+	}
+	if _, err := ReadGraph(bytes.NewReader(rawGraph(2, 0, 0, 0, 1, 1))); err != nil {
+		t.Fatalf("finite coordinates rejected: %v", err)
+	}
+}
+
+// FuzzReadGraph feeds arbitrary bytes to ReadGraph: it must never panic,
+// and any graph it accepts must survive WriteTo -> ReadGraph -> WriteTo
+// byte-identically.
+func FuzzReadGraph(f *testing.F) {
+	g, err := Grid(GridOptions{Rows: 3, Cols: 4, Spacing: 100, Jitter: 0.2, WeightVar: 0.1, DropFrac: 0.1, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var valid bytes.Buffer
+	if _, err := g.WriteTo(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(rawGraph(1<<28, 0))
+	for _, cut := range []int{0, 3, 8, 12, 20, valid.Len() - 1} {
+		f.Add(valid.Bytes()[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadGraph(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if _, err := g.WriteTo(&first); err != nil {
+			t.Fatalf("WriteTo of accepted graph: %v", err)
+		}
+		g2, err := ReadGraph(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading written graph: %v", err)
+		}
+		var second bytes.Buffer
+		if _, err := g2.WriteTo(&second); err != nil {
+			t.Fatalf("WriteTo after round trip: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("WriteTo -> ReadGraph round trip is not byte-identical")
+		}
+	})
 }
 
 // TestNearestMatchesBruteForce is a property test for the vertex locator.

@@ -29,9 +29,6 @@ func NewDijkstra(g *roadnet.Graph) *Dijkstra {
 	}
 }
 
-// Graph returns the underlying graph.
-func (d *Dijkstra) Graph() *roadnet.Graph { return d.g }
-
 func (d *Dijkstra) reset() {
 	d.epoch++
 	if d.epoch == 0 { // wrapped: clear stamps explicitly
@@ -108,60 +105,6 @@ func (d *Dijkstra) walkParents(u, v roadnet.VertexID) []roadnet.VertexID {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// All computes shortest-path costs from u to every vertex. The returned
-// slice is freshly allocated; unreachable vertices hold +Inf.
-func (d *Dijkstra) All(u roadnet.VertexID) []float64 {
-	d.reset()
-	d.relax(u, 0, -1)
-	for len(d.heap) > 0 {
-		it := d.heap.pop()
-		if it.dist > d.dist[it.v] || !d.seen(it.v) {
-			continue
-		}
-		ts, ws := d.g.Neighbors(it.v)
-		for i, t := range ts {
-			d.relax(t, it.dist+ws[i], it.v)
-		}
-	}
-	out := make([]float64, d.g.N())
-	for i := range out {
-		if d.seen(roadnet.VertexID(i)) {
-			out[i] = d.dist[i]
-		} else {
-			out[i] = Inf
-		}
-	}
-	return out
-}
-
-// WithinRadius returns all vertices whose network distance from u is at most
-// r, paired with their distances. The search is truncated at radius r, so
-// cost is proportional to the ball size, not the graph size. Used by the
-// dispatcher to find servers that can satisfy the waiting-time constraint.
-func (d *Dijkstra) WithinRadius(u roadnet.VertexID, r float64) (verts []roadnet.VertexID, dists []float64) {
-	d.reset()
-	d.relax(u, 0, -1)
-	for len(d.heap) > 0 {
-		it := d.heap.pop()
-		if it.dist > d.dist[it.v] || !d.seen(it.v) {
-			continue
-		}
-		if it.dist > r {
-			break
-		}
-		verts = append(verts, it.v)
-		dists = append(dists, it.dist)
-		ts, ws := d.g.Neighbors(it.v)
-		for i, t := range ts {
-			nd := it.dist + ws[i]
-			if nd <= r {
-				d.relax(t, nd, it.v)
-			}
-		}
-	}
-	return verts, dists
 }
 
 // distItem is a heap entry.

@@ -18,7 +18,7 @@ import (
 // query intersects the two endpoint lists in a single merge pass.
 // HubLabels is a SharedOracle: distance queries read the immutable labels
 // and are safe for unsynchronized concurrent use, while path queries fall
-// back to an internal A* engine serialized by a mutex.
+// back to an internal bidirectional Dijkstra engine serialized by a mutex.
 type HubLabels struct {
 	g      *roadnet.Graph
 	hubs   [][]int32   // per-vertex sorted hub ranks
@@ -26,7 +26,7 @@ type HubLabels struct {
 	labels int         // total label entries, for stats
 
 	pathMu sync.Mutex
-	astar  *AStar // for Path; guarded by pathMu
+	bidij  *Bidirectional // for Path; guarded by pathMu
 }
 
 // NewHubLabels builds the index. Vertices are ranked by degree (descending,
@@ -54,7 +54,7 @@ func NewHubLabels(g *roadnet.Graph) *HubLabels {
 		g:     g,
 		hubs:  make([][]int32, n),
 		dists: make([][]float64, n),
-		astar: NewAStar(g),
+		bidij: NewBidirectional(g),
 	}
 
 	// Pruned Dijkstra state (epoch-stamped).
@@ -155,15 +155,16 @@ func (hl *HubLabels) Dist(u, v roadnet.VertexID) float64 {
 	return best
 }
 
-// Path returns a shortest path from u to v via the internal A* engine.
-// Hub labels certify distances; explicit paths are recovered on demand,
-// matching the paper's design where "a second version of the road network is
-// stored in memory in a weighted adjacency list" for route tracking.
+// Path returns a shortest path from u to v via the internal bidirectional
+// Dijkstra engine. Hub labels certify distances; explicit paths are recovered
+// on demand, matching the paper's design where "a second version of the road
+// network is stored in memory in a weighted adjacency list" for route
+// tracking.
 // Concurrent calls serialize on an internal mutex.
 func (hl *HubLabels) Path(u, v roadnet.VertexID) []roadnet.VertexID {
 	hl.pathMu.Lock()
 	defer hl.pathMu.Unlock()
-	return hl.astar.Path(u, v)
+	return hl.bidij.Path(u, v)
 }
 
 // ConcurrencySafe marks HubLabels as a SharedOracle.

@@ -1,6 +1,6 @@
 // Package sp provides shortest-path engines over a roadnet.Graph: plain
-// Dijkstra, bidirectional Dijkstra, A*, an all-pairs matrix (for testing),
-// and a hub-labeling index (pruned landmark labeling), which is the
+// Dijkstra, bidirectional Dijkstra, an all-pairs matrix (for testing), and
+// a hub-labeling index (pruned landmark labeling), which is the
 // "state-of-art hub-labeling algorithm" the paper implements for its
 // evaluation (§VI).
 //
@@ -20,11 +20,10 @@ import (
 // Thread-safety taxonomy. Every oracle in the system falls into one of two
 // documented classes:
 //
-//   - Per-goroutine engines (Dijkstra, Bidirectional, AStar, ALT,
-//     ArcFlags, cache.Oracle): NOT safe for concurrent use. They reuse
-//     internal search buffers across queries, which is what makes the
-//     simulator's millions of queries cheap. Every concurrent user needs
-//     its own instance.
+//   - Per-goroutine engines (Dijkstra, Bidirectional, cache.Oracle): NOT
+//     safe for concurrent use. They reuse internal search buffers across
+//     queries, which is what makes the simulator's millions of queries
+//     cheap. Every concurrent user needs its own instance.
 //   - SharedOracle implementations (Matrix, HubLabels, cache.Shared):
 //     safe for concurrent use by any number of goroutines; see
 //     SharedOracle for the exact guarantee.

@@ -31,10 +31,7 @@ func TestEnginesAgree(t *testing.T) {
 	engines := map[string]Oracle{
 		"dijkstra":      NewDijkstra(g),
 		"bidirectional": NewBidirectional(g),
-		"astar":         NewAStar(g),
 		"hublabels":     NewHubLabels(g),
-		"alt":           NewALT(g, 8),
-		"arcflags":      NewArcFlags(g, 4),
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
@@ -60,10 +57,7 @@ func TestPathsAreShortest(t *testing.T) {
 	engines := map[string]Oracle{
 		"dijkstra":      NewDijkstra(g),
 		"bidirectional": NewBidirectional(g),
-		"astar":         NewAStar(g),
 		"hublabels":     NewHubLabels(g),
-		"alt":           NewALT(g, 8),
-		"arcflags":      NewArcFlags(g, 4),
 	}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
@@ -147,10 +141,7 @@ func TestDisconnected(t *testing.T) {
 	for name, e := range map[string]Oracle{
 		"dijkstra":      NewDijkstra(g),
 		"bidirectional": NewBidirectional(g),
-		"astar":         NewAStar(g),
 		"hublabels":     NewHubLabels(g),
-		"alt":           NewALT(g, 4),
-		"arcflags":      NewArcFlags(g, 2),
 	} {
 		if d := e.Dist(0, 2); d != Inf {
 			t.Errorf("%s: cross-component distance %v, want Inf", name, d)
@@ -160,42 +151,6 @@ func TestDisconnected(t *testing.T) {
 		}
 		if d := e.Dist(0, 1); math.Abs(d-1) > 1e-9 {
 			t.Errorf("%s: same-component distance %v, want 1", name, d)
-		}
-	}
-}
-
-// TestWithinRadius checks the truncated search returns exactly the ball.
-func TestWithinRadius(t *testing.T) {
-	g := testGraph(t, 8)
-	d := NewDijkstra(g)
-	m, err := NewMatrix(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 20; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		r := 200 + rng.Float64()*1500
-		verts, dists := d.WithinRadius(u, r)
-		got := make(map[roadnet.VertexID]float64, len(verts))
-		for j, v := range verts {
-			got[v] = dists[j]
-		}
-		for v := 0; v < g.N(); v++ {
-			want := m.Dist(u, roadnet.VertexID(v))
-			gd, ok := got[roadnet.VertexID(v)]
-			if want <= r && !ok {
-				t.Fatalf("WithinRadius(%d, %.0f) missing vertex %d at %.1f", u, r, v, want)
-			}
-			if ok && math.Abs(gd-want) > 1e-6 {
-				t.Fatalf("WithinRadius distance mismatch at %d: %v vs %v", v, gd, want)
-			}
-			if !ok && want <= r {
-				t.Fatalf("missing %d", v)
-			}
-			if ok && want > r+1e-9 {
-				t.Fatalf("WithinRadius(%d, %.0f) included vertex %d at %.1f", u, r, v, want)
-			}
 		}
 	}
 }
@@ -220,10 +175,7 @@ func TestDistSelfIsZero(t *testing.T) {
 	for name, e := range map[string]Oracle{
 		"dijkstra":      NewDijkstra(g),
 		"bidirectional": NewBidirectional(g),
-		"astar":         NewAStar(g),
 		"hublabels":     NewHubLabels(g),
-		"alt":           NewALT(g, 4),
-		"arcflags":      NewArcFlags(g, 2),
 	} {
 		if d := e.Dist(3, 3); d != 0 {
 			t.Errorf("%s: Dist(v,v)=%v", name, d)
@@ -277,51 +229,6 @@ func BenchmarkBidirectionalDist(b *testing.B) {
 		u := roadnet.VertexID(rng.Intn(g.N()))
 		v := roadnet.VertexID(rng.Intn(g.N()))
 		d.Dist(u, v)
-	}
-}
-
-func BenchmarkALTDist(b *testing.B) {
-	g := testGraph(b, 20)
-	a := NewALT(g, 8)
-	rng := rand.New(rand.NewSource(21))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		v := roadnet.VertexID(rng.Intn(g.N()))
-		a.Dist(u, v)
-	}
-}
-
-func TestArcFlagsStats(t *testing.T) {
-	g := testGraph(t, 23)
-	a := NewArcFlags(g, 4)
-	if a.BoundaryVertices() == 0 {
-		t.Fatal("no boundary vertices found on a partitioned grid")
-	}
-	if a.BoundaryVertices() >= g.N() {
-		t.Fatalf("all %d vertices boundary — partition degenerate", g.N())
-	}
-}
-
-func BenchmarkArcFlagsDist(b *testing.B) {
-	g := testGraph(b, 20)
-	a := NewArcFlags(g, 4)
-	rng := rand.New(rand.NewSource(21))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := roadnet.VertexID(rng.Intn(g.N()))
-		v := roadnet.VertexID(rng.Intn(g.N()))
-		a.Dist(u, v)
-	}
-}
-
-func TestALTLandmarkCount(t *testing.T) {
-	g := testGraph(t, 22)
-	if got := NewALT(g, 0).NumLandmarks(); got != 1 {
-		t.Fatalf("k=0 clamped to %d landmarks, want 1", got)
-	}
-	if got := NewALT(g, 100).NumLandmarks(); got > 16 {
-		t.Fatalf("k=100 gave %d landmarks, want <= 16", got)
 	}
 }
 

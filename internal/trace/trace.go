@@ -201,6 +201,11 @@ func ReadCSV(r io.Reader, g *roadnet.Graph) ([]sim.Request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad time %q", line, rec[1])
 		}
+		// ParseFloat accepts NaN and ±Inf spellings; a NaN breaks the
+		// (Time, ID) sort below and either would poison the simulator clock.
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return nil, fmt.Errorf("trace: line %d: non-finite time %q", line, rec[1])
+		}
 		pu, err := strconv.ParseInt(rec[2], 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad pickup %q", line, rec[2])

@@ -182,6 +182,56 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVRejectsNonFiniteTimes: strconv.ParseFloat accepts NaN and
+// infinity spellings, which the loader must reject with the line number.
+func TestReadCSVRejectsNonFiniteTimes(t *testing.T) {
+	g := testGraph(t)
+	for _, spelling := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-Infinity"} {
+		in := "id,time,pickup,dropoff\n1,10,0,1\n2," + spelling + ",1,2\n"
+		_, err := ReadCSV(strings.NewReader(in), g)
+		if err == nil {
+			t.Fatalf("time %q accepted", spelling)
+		}
+		if !strings.Contains(err.Error(), "line 3") {
+			t.Fatalf("time %q: error %q does not name line 3", spelling, err)
+		}
+	}
+}
+
+// FuzzReadCSV feeds arbitrary text to ReadCSV: it must never panic, and any
+// accepted output must be sorted by (Time, ID) with finite times and
+// in-range vertices.
+func FuzzReadCSV(f *testing.F) {
+	g, err := roadnet.Grid(roadnet.GridOptions{Rows: 4, Cols: 4, Spacing: 100, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("id,time,pickup,dropoff\n7,100,0,1\n3,100,1,2\n9,50.5,2,3\n")
+	f.Add("id,time,pickup,dropoff\n1,NaN,0,1\n")
+	f.Add("id,time,pickup,dropoff\n1,0,0,16\n")
+	f.Add("id,time,pickup,dropoff\n1,0,0,1\n1,5,0,1\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		reqs, err := ReadCSV(strings.NewReader(in), g)
+		if err != nil {
+			return
+		}
+		for i, r := range reqs {
+			if math.IsNaN(r.Time) || math.IsInf(r.Time, 0) {
+				t.Fatalf("request %d: non-finite time %v accepted", i, r.Time)
+			}
+			if r.Pickup < 0 || int(r.Pickup) >= g.N() || r.Dropoff < 0 || int(r.Dropoff) >= g.N() {
+				t.Fatalf("request %d: vertex out of range (%d, %d)", i, r.Pickup, r.Dropoff)
+			}
+			if i > 0 {
+				p := reqs[i-1]
+				if p.Time > r.Time || (p.Time == r.Time && p.ID >= r.ID) {
+					t.Fatalf("requests %d, %d out of (Time, ID) order: (%v, %d) then (%v, %d)", i-1, i, p.Time, p.ID, r.Time, r.ID)
+				}
+			}
+		}
+	})
+}
+
 // TestReadCSVSortsTiesByID: coarse real-trace timestamps make ties routine;
 // the loader must order them by ID regardless of row order, matching the
 // ingress gateway's stamped release order.
