@@ -30,14 +30,16 @@ type lruEntry[V any] struct {
 	prev, next int
 }
 
-// NewLRU returns an LRU with the given capacity (minimum 1).
+// NewLRU returns an LRU with the given capacity (minimum 1). Nothing is
+// preallocated: the table grows with the entries actually stored, so a
+// generous capacity costs no memory until it fills.
 func NewLRU[V any](capacity int) *LRU[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &LRU[V]{
 		capacity: capacity,
-		table:    make(map[uint64]int, capacity),
+		table:    make(map[uint64]int),
 		head:     -1,
 		tail:     -1,
 	}

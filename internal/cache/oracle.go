@@ -15,8 +15,12 @@ const (
 	DefaultPathEntries = 10_000
 )
 
-// Oracle wraps an sp.Oracle with the paper's two LRU caches, both indexed
-// by the combined key id(s)·|V| + id(e).
+// Oracle wraps an sp.Oracle with the paper's two LRU caches, indexed by
+// the combined key id(s)·|V| + id(e). The graph is undirected and weights
+// are exact, so d(s, e) and d(e, s) are the same bits: distances are keyed
+// by the unordered pair (min, max) and stored once. Paths are directional.
+// Pins are forwarded to the inner engine (sp.Pinner), beneath the cache,
+// so they change how misses are computed but not which lookups miss.
 //
 // Not safe for concurrent use (neither are the wrapped engines).
 type Oracle struct {
@@ -48,6 +52,10 @@ func (o *Oracle) key(u, v roadnet.VertexID) uint64 {
 	return uint64(u)*o.n + uint64(v)
 }
 
+// Pin implements sp.Pinner by forwarding to the inner engine; it is a
+// no-op when that engine cannot pin.
+func (o *Oracle) Pin(src roadnet.VertexID, radius float64) { sp.Pin(o.inner, src, radius) }
+
 // Dist returns the shortest-path cost from u to v, consulting the distance
 // cache first.
 func (o *Oracle) Dist(u, v roadnet.VertexID) float64 {
@@ -55,16 +63,13 @@ func (o *Oracle) Dist(u, v roadnet.VertexID) float64 {
 		return 0
 	}
 	start := o.sampler.start()
-	k := o.key(u, v)
+	k := o.key(min(u, v), max(u, v))
 	if d, ok := o.dists.Get(k); ok {
 		o.sampler.record(start, true)
 		return d
 	}
 	d := o.inner.Dist(u, v)
 	o.dists.Put(k, d)
-	// The graph is undirected; a shortest path cost is symmetric, so prime
-	// the reverse direction too.
-	o.dists.Put(o.key(v, u), d)
 	o.sampler.record(start, false)
 	return d
 }

@@ -82,20 +82,20 @@ func (s *Shared) key(u, v roadnet.VertexID) uint64 {
 
 // sharedDist is the one distance lookup path: consult the shared striped
 // cache, compute on the supplied engine on a miss, and publish the result
-// under both directions (the graph is undirected, so cost is symmetric).
-// The second return reports whether the lookup was served from the cache
-// (u == v counts as a hit; it never reaches the cache).
+// once under the unordered pair (the graph is undirected and weights are
+// exact, so both directions hold the same bits). The second return
+// reports whether the lookup was served from the cache (u == v counts as
+// a hit; it never reaches the cache).
 func (s *Shared) sharedDist(engine sp.Oracle, u, v roadnet.VertexID) (float64, bool) {
 	if u == v {
 		return 0, true
 	}
-	k := s.key(u, v)
+	k := s.key(min(u, v), max(u, v))
 	if d, ok := s.dists.Get(k); ok {
 		return d, true
 	}
 	d := engine.Dist(u, v)
 	s.dists.Put(k, d)
-	s.dists.Put(s.key(v, u), d)
 	return d, false
 }
 
@@ -200,6 +200,11 @@ type SharedWorker struct {
 	paths   *LRU[[]roadnet.VertexID]
 	sampler *distSampler
 }
+
+// Pin implements sp.Pinner by forwarding to this worker's private engine;
+// it is a no-op when that engine cannot pin. Direct Shared.Dist calls run
+// on pooled engines and never see pins.
+func (w *SharedWorker) Pin(src roadnet.VertexID, radius float64) { sp.Pin(w.engine, src, radius) }
 
 // Dist returns the shortest-path cost from u to v via the shared distance
 // cache, computing misses on this worker's private engine.

@@ -919,7 +919,9 @@ func (t *Tree) pruneEager(moved float64) {
 			kept = append(kept, c)
 			continue
 		}
-		detour := newLeg - c.leg // relative to previous position
+		// Arrival delay at c's first stop: the old arrival was odo-moved
+		// plus the old leg, the new one is odo plus the new leg.
+		detour := moved + newLeg - c.leg
 		if detour <= slackEps {
 			// Arrivals only got earlier: still valid.
 			c.leg = newLeg

@@ -177,3 +177,69 @@ func TestTreeRejectsImpossibleRequest(t *testing.T) {
 		t.Fatal("accepted a request whose pickup is out of waiting range")
 	}
 }
+
+// TestEagerPruneChargesDistanceMoved drives eager trees through long
+// seeded streams of tight requests and moves of one to three hops toward
+// the chosen stop, validating every branch after each step. A move delays
+// every alternative branch whose first stop does not lie on the way, by
+// the distance moved plus the new leg minus the old one; pruning that
+// forgets the distance moved keeps branches that can no longer meet their
+// deadlines, and Validate reports them.
+func TestEagerPruneChargesDistanceMoved(t *testing.T) {
+	for _, variant := range []struct {
+		name string
+		opts TreeOptions
+	}{
+		{"basic", TreeOptions{Capacity: 4}},
+		{"slack", TreeOptions{Slack: true, Capacity: 4}},
+	} {
+		t.Run(variant.name, func(t *testing.T) {
+			for seed := int64(0); seed < 32; seed++ {
+				w := newTestWorld(t, 70+seed)
+				rng := rand.New(rand.NewSource(80 + seed))
+				n := int32(w.g.N())
+				tree := NewTree(w.oracle, roadnet.VertexID(rng.Int31n(n)), 0, variant.opts)
+				moves := 0
+				for step := 0; step < 600; step++ {
+					if rng.Intn(3) == 0 {
+						s := roadnet.VertexID(rng.Int31n(n))
+						e := roadnet.VertexID(rng.Int31n(n))
+						if s == e {
+							continue
+						}
+						wait := w.oracle.Dist(tree.Loc(), s) + 100 + rng.Float64()*1000
+						ts, err := NewTripState(int64(step), s, e, wait, 0.2+0.3*rng.Float64(), tree.Odo(), w.oracle)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cand, ok, err := tree.TrialInsert(ts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ok {
+							tree.Commit(cand)
+						}
+					} else if !tree.Empty() {
+						target := tree.NextStops()[0].Vertex
+						if target == tree.Loc() {
+							if _, err := tree.Advance(); err != nil {
+								t.Fatal(err)
+							}
+						} else {
+							path := w.oracle.Path(tree.Loc(), target)
+							hops := min(1+rng.Intn(3), len(path)-1)
+							tree.SetLocation(path[hops], tree.Odo()+w.oracle.Dist(path[0], path[hops]))
+							moves++
+						}
+					}
+					if err := tree.Validate(); err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, step, err)
+					}
+				}
+				if moves < 100 {
+					t.Fatalf("seed %d: only %d moves; test exercised too little", seed, moves)
+				}
+			}
+		})
+	}
+}

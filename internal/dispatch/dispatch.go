@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -341,6 +340,9 @@ func (s *shard) trial(cfg *sim.Config, req sim.Request, px, py, waitMeters, eps,
 	spanStart := s.ring.SpanStart()
 	s.drainReportsUntil(cfg, req.Time)
 	s.cand = s.grid.Within(s.cand[:0], px, py, radius)
+	if len(s.cand) > 0 {
+		s.w.PinRequest(req, waitMeters, eps)
+	}
 	s.fault.BeforeFanout(req.ID, req.Time)
 	best := shardBest{veh: -1}
 	for _, id := range s.cand {
@@ -394,6 +396,9 @@ func (s *shard) trialRetain(cfg *sim.Config, req sim.Request, px, py, waitMeters
 	spanStart := s.ring.SpanStart()
 	s.drainReportsUntil(cfg, req.Time)
 	s.cand = s.grid.Within(s.cand[:0], px, py, radius)
+	if len(s.cand) > 0 {
+		s.w.PinRequest(req, waitMeters, eps)
+	}
 	s.fault.BeforeFanout(req.ID, req.Time)
 	before := s.w.Metrics().TrialCalls
 	feas := s.feasBuf()
@@ -422,6 +427,7 @@ func (s *shard) trialRetain(cfg *sim.Config, req sim.Request, px, py, waitMeters
 // current flush — against the updated fleet state. The batch planner
 // merges the result with the request's surviving clean phase-1 trials.
 func (s *shard) retrial(cfg *sim.Config, req sim.Request, px, py, waitMeters, eps float64, ids []int) shardBest {
+	s.w.PinRequest(req, waitMeters, eps)
 	best := shardBest{veh: -1}
 	for _, id := range ids {
 		v := s.vehicle(id)
@@ -632,35 +638,21 @@ func (e *Engine) Metrics() *sim.Metrics {
 }
 
 // dedupStatsers resolves the distinct cache stacks behind the shard
-// oracles once, at construction: a cache.SharedWorker facade resolves to
-// its fleet-wide stack (which aggregates every facade), and stacks shared
-// by several shards (one cache.Shared, or one oracle instance reused
-// across shards) are recorded once, in shard order. The shard oracles
+// oracles once, at construction: sim.CacheStack peels wrappers and
+// resolves a cache.SharedWorker facade to its fleet-wide stack (which
+// aggregates every facade), and stacks shared by several shards (one
+// cache.Shared, or one oracle instance reused across shards) are
+// recorded once, in shard order. The shard oracles
 // never change, so Metrics()/distLatency()/cacheStats() can walk these
 // lists instead of rebuilding the dedup set per call.
 func (e *Engine) dedupStatsers() {
 	seenLat := make(map[sim.CacheLatencyStatser]bool, len(e.shards))
 	seenCS := make(map[sim.CacheStatser]bool, len(e.shards))
 	for _, s := range e.shards {
-		// Peel decorator facades (sp.Retry, faults.FlakyOracle) so a
-		// shard oracle wrapped for fault tolerance still reports its
-		// cache stack's stats.
-		o := sp.Unwrap(s.w.Oracle())
-		var cls sim.CacheLatencyStatser
-		if w, ok := o.(*cache.SharedWorker); ok {
-			cls = w.Shared()
-		} else if c, ok := o.(sim.CacheLatencyStatser); ok {
-			cls = c
-		}
+		cs, cls := sim.CacheStack(s.w.Oracle())
 		if cls != nil && !seenLat[cls] {
 			seenLat[cls] = true
 			e.latStatsers = append(e.latStatsers, cls)
-		}
-		var cs sim.CacheStatser
-		if w, ok := o.(*cache.SharedWorker); ok {
-			cs = w.Shared() // aggregates the striped cache and all facades
-		} else if c, ok := o.(sim.CacheStatser); ok {
-			cs = c
 		}
 		if cs != nil && !seenCS[cs] {
 			seenCS[cs] = true

@@ -26,6 +26,11 @@ func testWorld(t testing.TB, trips int) (*roadnet.Graph, OracleFactory, []sim.Re
 	factory := func() sp.Oracle {
 		return cache.New(sp.NewBidirectional(g), g.N(), 1<<20, 1<<14)
 	}
+	return g, factory, testRequests(g, trips)
+}
+
+// testRequests is testWorld's deterministic request stream over g.
+func testRequests(g *roadnet.Graph, trips int) []sim.Request {
 	reqs := make([]sim.Request, 0, trips)
 	nv := int32(g.N())
 	state := int64(12345) // LCG, stable across Go versions
@@ -50,7 +55,7 @@ func testWorld(t testing.TB, trips int) (*roadnet.Graph, OracleFactory, []sim.Re
 			Dropoff: e,
 		})
 	}
-	return g, factory, reqs
+	return reqs
 }
 
 func baseConfig(g *roadnet.Graph, factory OracleFactory, algo sim.Algorithm) sim.Config {
@@ -248,6 +253,71 @@ func TestSharedCacheEquivalence(t *testing.T) {
 		if workers > 1 && sm.DistCacheHitRate() < pm.DistCacheHitRate() {
 			t.Errorf("workers=%d: shared hit rate %.4f below per-shard %.4f",
 				workers, sm.DistCacheHitRate(), pm.DistCacheHitRate())
+		}
+	}
+}
+
+// TestExactOraclesSameAssignments: edge weights are exact, so every exact
+// oracle returns the same bits and dispatch must make the same decisions
+// whichever one answers — the cached bidirectional search (with pinned
+// rows), a cached plain Dijkstra (also pinned), or hub labels (no pins).
+// Immediate and batch mode both compare Engine.Assignment request by
+// request, and the integer trial counters must match too.
+func TestExactOraclesSameAssignments(t *testing.T) {
+	// An unjittered grid with an inexact spacing: many routes tie in exact
+	// arithmetic, which is where rounded sums would break ties by
+	// summation order.
+	g, err := roadnet.Grid(roadnet.GridOptions{Rows: 20, Cols: 20, Spacing: 333.3, DropFrac: 0.05, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := testRequests(g, 300)
+	oracles := []struct {
+		name string
+		new  func() sp.Oracle
+	}{
+		{"bidirectional+lru", func() sp.Oracle { return cache.New(sp.NewBidirectional(g), g.N(), 1<<20, 1<<14) }},
+		{"dijkstra+lru", func() sp.Oracle { return cache.New(sp.NewDijkstra(g), g.N(), 1<<20, 1<<14) }},
+		{"hublabels", func() sp.Oracle { return sp.NewHubLabels(g) }},
+	}
+	for _, window := range []float64{0, 20} {
+		var want []int
+		var wantM *sim.Metrics
+		for _, o := range oracles {
+			cfg := baseConfig(g, o.new, sim.AlgoTreeSlack)
+			cfg.Servers = 100
+			cfg.BatchWindow = window
+			e, err := New(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := e.Run(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("%s window=%v: %v", o.name, window, err)
+			}
+			got := make([]int, len(reqs))
+			for i, r := range reqs {
+				got[i], _ = e.Assignment(r.ID)
+			}
+			e.Close()
+			if want == nil {
+				want, wantM = got, m
+				continue
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("window=%v: %s assigned request %d to %d, %s to %d",
+						window, o.name, i, got[i], oracles[0].name, want[i])
+				}
+			}
+			if m.TrialCalls != wantM.TrialCalls || m.TrialFailures != wantM.TrialFailures || m.Matched != wantM.Matched {
+				t.Fatalf("window=%v: %s trials %d/%d failed, matched %d; %s %d/%d, %d", window,
+					o.name, m.TrialCalls, m.TrialFailures, m.Matched,
+					oracles[0].name, wantM.TrialCalls, wantM.TrialFailures, wantM.Matched)
+			}
 		}
 	}
 }

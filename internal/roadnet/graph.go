@@ -6,6 +6,12 @@
 // Edge weights are travel costs in meters. At the paper's constant speed of
 // 14 m/s, distance and time measures are interchangeable (paper §I-A); the
 // rest of the system stores costs in meters and converts for reporting.
+//
+// Weights are exact: Build rounds each one up to a whole number of
+// WeightQuantum and caps it at MaxWeight, so every path cost below 2⁴³ m
+// is a sum of integers in float64 and carries no rounding error. Any two
+// exact shortest-path engines therefore agree bit for bit, whatever order
+// they add the edges in.
 package roadnet
 
 import (
@@ -20,6 +26,17 @@ type VertexID = int32
 // Speed is the assumed constant driving speed in meters/second
 // (paper §VI: "approximately 48 kilometers/hour").
 const Speed = 14.0
+
+// WeightQuantum is the resolution of edge weights: Build rounds every
+// weight up to a multiple of 2⁻¹⁰ m. Rounding up keeps a weight at least
+// its Euclidean edge length, so straight-line distance still lower-bounds
+// network distance.
+const WeightQuantum = 1.0 / 1024
+
+// MaxWeight is the largest edge weight Build accepts, 2²⁴ m. With the
+// quantum it bounds a weight to 2³⁴ quanta, so a path of up to 2¹⁹ edges
+// sums exactly in float64.
+const MaxWeight = 1 << 24
 
 // Graph is an undirected weighted road network stored in CSR form.
 // The zero value is an empty graph; use a Builder to construct one.
@@ -122,7 +139,8 @@ func (b *Builder) AddVertex(x, y float64) VertexID {
 }
 
 // AddEdge records an undirected edge (u, v) with weight w meters.
-// Self-loops and non-positive weights are rejected at Build time.
+// Self-loops, non-positive weights and weights above MaxWeight are
+// rejected at Build time.
 func (b *Builder) AddEdge(u, v VertexID, w float64) {
 	b.us = append(b.us, u)
 	b.vs = append(b.vs, v)
@@ -133,7 +151,8 @@ func (b *Builder) AddEdge(u, v VertexID, w float64) {
 func (b *Builder) NumVertices() int { return len(b.xs) }
 
 // Build validates the accumulated vertices and edges and returns the Graph.
-// Duplicate edges are collapsed keeping the minimum weight.
+// Weights are rounded up to a multiple of WeightQuantum, and duplicate
+// edges are collapsed keeping the minimum weight.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.xs)
 	for i := range b.us {
@@ -144,7 +163,7 @@ func (b *Builder) Build() (*Graph, error) {
 		if u == v {
 			return nil, fmt.Errorf("roadnet: edge %d: self-loop at vertex %d", i, u)
 		}
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		if !(w > 0 && w <= MaxWeight) {
 			return nil, fmt.Errorf("roadnet: edge %d (%d,%d): invalid weight %v", i, u, v, w)
 		}
 	}
@@ -158,8 +177,9 @@ func (b *Builder) Build() (*Graph, error) {
 			u, v = v, u
 		}
 		k := key{u, v}
-		if old, ok := dedup[k]; !ok || b.ws[i] < old {
-			dedup[k] = b.ws[i]
+		w := quantize(b.ws[i])
+		if old, ok := dedup[k]; !ok || w < old {
+			dedup[k] = w
 		}
 	}
 
@@ -195,6 +215,12 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g.sortAdjacency()
 	return g, nil
+}
+
+// quantize rounds w up to a multiple of WeightQuantum. Scaling by a power
+// of two is exact, so for w ≤ MaxWeight the result is exact too.
+func quantize(w float64) float64 {
+	return math.Ceil(w/WeightQuantum) * WeightQuantum
 }
 
 // sortAdjacency orders each vertex's neighbor list by target ID so that

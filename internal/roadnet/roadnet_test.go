@@ -22,6 +22,8 @@ func TestBuilderValidation(t *testing.T) {
 		{"zero-weight", func(b *Builder) { b.AddEdge(0, 1, 0) }},
 		{"nan-weight", func(b *Builder) { b.AddEdge(0, 1, math.NaN()) }},
 		{"inf-weight", func(b *Builder) { b.AddEdge(0, 1, math.Inf(1)) }},
+		{"weight-above-cap", func(b *Builder) { b.AddEdge(0, 1, math.Nextafter(MaxWeight, math.Inf(1))) }},
+		{"max-float-weight", func(b *Builder) { b.AddEdge(0, 1, math.MaxFloat64) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -31,6 +33,32 @@ func TestBuilderValidation(t *testing.T) {
 				t.Fatal("expected build error")
 			}
 		})
+	}
+}
+
+// TestBuildQuantizesWeights: Build rounds every weight up to a multiple of
+// WeightQuantum, accepts weights up to MaxWeight exactly, and never rounds
+// a weight below its input (which would break the Euclidean lower bound).
+func TestBuildQuantizesWeights(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{
+		{1, 1},
+		{0.1, 103.0 / 1024},
+		{1e-300, WeightQuantum},
+		{WeightQuantum, WeightQuantum},
+		{123.456, 126419.0 / 1024},
+		{MaxWeight - 0.0001, MaxWeight},
+		{MaxWeight, MaxWeight},
+	} {
+		b := NewBuilder(2)
+		b.AddEdge(0, 1, tc.in)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("weight %v: %v", tc.in, err)
+		}
+		w, _ := g.EdgeWeight(0, 1)
+		if w != tc.want || w < tc.in {
+			t.Fatalf("weight %v built as %v, want %v", tc.in, w, tc.want)
+		}
 	}
 }
 
@@ -275,6 +303,12 @@ func FuzzReadGraph(f *testing.F) {
 	}
 	f.Add(valid.Bytes())
 	f.Add(rawGraph(1<<28, 0))
+	// One edge just above MaxWeight, which Build must reject.
+	overCap := append(rawGraph(2, 1, 0, 0, 1, 1), make([]byte, 16)...)
+	binary.LittleEndian.PutUint32(overCap[len(overCap)-16:], 0)
+	binary.LittleEndian.PutUint32(overCap[len(overCap)-12:], 1)
+	binary.LittleEndian.PutUint64(overCap[len(overCap)-8:], math.Float64bits(math.Nextafter(MaxWeight, math.Inf(1))))
+	f.Add(overCap)
 	for _, cut := range []int{0, 3, 8, 12, 20, valid.Len() - 1} {
 		f.Add(valid.Bytes()[:cut])
 	}

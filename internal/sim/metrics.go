@@ -10,7 +10,9 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/sp"
 )
 
 // Metrics aggregates the measurements the paper reports.
@@ -153,6 +155,21 @@ type CacheStatser interface {
 // distributions into their Metrics on read.
 type CacheLatencyStatser interface {
 	DistLatency() (hit, miss *obs.Histogram)
+}
+
+// CacheStack resolves the cache stack that reports counters for an
+// engine's oracle. Wrappers (sp.Retry, faults.FlakyOracle) are peeled
+// with sp.Unwrap, and a cache.SharedWorker facade resolves to its
+// fleet-wide cache.Shared, which aggregates every facade. Either result
+// is nil when the stack does not report that kind of counter.
+func CacheStack(o sp.Oracle) (CacheStatser, CacheLatencyStatser) {
+	o = sp.Unwrap(o)
+	if w, ok := o.(*cache.SharedWorker); ok {
+		o = w.Shared()
+	}
+	cs, _ := o.(CacheStatser)
+	cls, _ := o.(CacheLatencyStatser)
+	return cs, cls
 }
 
 func newMetrics() *Metrics {

@@ -229,15 +229,17 @@ func New(cfg Config) (*Simulator, error) {
 }
 
 // Metrics returns the accumulated measurements. When the oracle stack
-// reports cache counters they are refreshed into the metrics here, so the
-// snapshot always carries the current cache efficacy.
+// (found beneath any wrappers by CacheStack) reports cache counters they
+// are refreshed into the metrics here, so the snapshot always carries the
+// current cache efficacy.
 func (s *Simulator) Metrics() *Metrics {
-	if cs, ok := s.oracle.(CacheStatser); ok {
+	cs, cls := CacheStack(s.oracle)
+	if cs != nil {
 		dh, dm := cs.DistStats()
 		ph, pm := cs.PathStats()
 		s.metrics.SetCacheStats(dh, dm, ph, pm)
 	}
-	if cls, ok := s.oracle.(CacheLatencyStatser); ok {
+	if cls != nil {
 		s.metrics.SetDistLatency(cls.DistLatency())
 	}
 	return s.metrics
@@ -284,6 +286,9 @@ func (s *Simulator) Submit(req Request) (matched bool, vehID int) {
 	// vehicle's last position report. The grid returns candidates sorted by
 	// ID, which fixes the tie-breaking order.
 	s.candidates = s.grid.Within(s.candidates[:0], px, py, s.w.CandidateRadius(waitMeters))
+	if len(s.candidates) > 0 {
+		s.w.PinRequest(req, waitMeters, eps)
+	}
 
 	s.fault.BeforeFanout(req.ID, req.Time)
 	started := time.Now() //vetkit:allow determinism ACRT metric only; candidate selection depends on trials, not time

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/faults"
 	"repro/internal/roadnet"
 	"repro/internal/sp"
 )
@@ -166,5 +167,40 @@ func TestZeroServers(t *testing.T) {
 	}
 	if _, err := New(Config{Servers: 3}); err == nil {
 		t.Fatal("expected error for missing graph/oracle")
+	}
+}
+
+// TestMetricsPeelWrappedCache: a cache stack behind the retryable fault
+// facade (faults.WrapOracle) must still report its counters through
+// Simulator.Metrics, exactly as the unwrapped stack does.
+func TestMetricsPeelWrappedCache(t *testing.T) {
+	g, _, reqs := testSetup(t, 40)
+	run := func(wrap bool) *Metrics {
+		var oracle sp.Oracle = cache.New(sp.NewBidirectional(g), g.N(), 1<<20, 1<<14)
+		if wrap {
+			oracle = faults.WrapOracle(oracle, nil, sp.RetryOptions{})
+		}
+		s, err := New(Config{Graph: g, Oracle: oracle, Servers: 30, Capacity: 4, Algorithm: AlgoTreeSlack, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.Run(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	plain, wrapped := run(false), run(true)
+	if plain.DistCacheHits+plain.DistCacheMisses == 0 {
+		t.Fatal("unwrapped cache reported no distance lookups")
+	}
+	if wrapped.DistCacheHits != plain.DistCacheHits || wrapped.DistCacheMisses != plain.DistCacheMisses ||
+		wrapped.PathCacheHits != plain.PathCacheHits || wrapped.PathCacheMisses != plain.PathCacheMisses {
+		t.Fatalf("wrapped cache counters dist %d/%d path %d/%d, want dist %d/%d path %d/%d",
+			wrapped.DistCacheHits, wrapped.DistCacheMisses, wrapped.PathCacheHits, wrapped.PathCacheMisses,
+			plain.DistCacheHits, plain.DistCacheMisses, plain.PathCacheHits, plain.PathCacheMisses)
+	}
+	if wrapped.DistMissLatency.Count() == 0 {
+		t.Fatal("wrapped cache reported no sampled miss latency")
 	}
 }

@@ -95,6 +95,28 @@ func (w *Worker) CandidateRadius(waitMeters float64) float64 {
 	return waitMeters + w.cfg.ReportInterval*roadnet.Speed
 }
 
+// PinRequest pins the request's pickup and dropoff rows in the worker's
+// oracle (sp.Pin), so that the trial insertions that follow answer their
+// shortest-path misses from two one-to-many searches instead of one
+// point-to-point search each: every such miss has the pickup or the
+// dropoff as an endpoint. The pickup row covers the candidate radius; the
+// dropoff row adds the longest feasible ride, (1+ε)·d(pickup, dropoff).
+// Rows never change an answer, only where it is computed, so matching is
+// unaffected. Engines call it once per request and oracle, before
+// trialing; it does nothing when the oracle beneath the worker's wrappers
+// cannot pin.
+func (w *Worker) PinRequest(req Request, waitMeters, eps float64) {
+	p, ok := sp.Unwrap(w.oracle).(sp.Pinner)
+	if !ok {
+		return
+	}
+	radius := w.CandidateRadius(waitMeters)
+	p.Pin(req.Pickup, radius)
+	if d := w.oracle.Dist(req.Pickup, req.Dropoff); d != sp.Inf {
+		p.Pin(req.Dropoff, radius+(1+eps)*d)
+	}
+}
+
 // Placement is a vehicle's seed-determined starting state: its initial
 // vertex and the time of its first position report.
 type Placement struct {
@@ -121,13 +143,14 @@ func Placements(cfg Config) []Placement {
 	return out
 }
 
-// NewVehicle creates vehicle id at loc, with the per-vehicle cruise RNG and
-// (for tree algorithms) a kinetic tree bound to this worker's oracle.
+// NewVehicle creates vehicle id at loc, with its idle-walk stream keyed by
+// (seed, id) and (for tree algorithms) a kinetic tree bound to this
+// worker's oracle.
 func (w *Worker) NewVehicle(id int, loc roadnet.VertexID) *Vehicle {
 	v := &Vehicle{
 		id:         id,
 		loc:        loc,
-		rng:        rand.New(rand.NewSource(w.cfg.Seed + int64(id) + 1)),
+		walk:       uint64(w.cfg.Seed)<<32 ^ uint64(id),
 		requestOdo: make(map[int64]float64),
 		pickupOdo:  make(map[int64]float64),
 	}

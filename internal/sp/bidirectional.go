@@ -7,12 +7,14 @@ import (
 // Bidirectional is a bidirectional Dijkstra engine. On road networks it
 // typically settles far fewer vertices than unidirectional Dijkstra,
 // which matters when no precomputed index (hub labels) is available.
+// It is a Pinner: Dist answers from a pinned row when it can.
 //
 // Not safe for concurrent use.
 type Bidirectional struct {
-	g   *roadnet.Graph
-	fwd side
-	bwd side
+	g    *roadnet.Graph
+	fwd  side
+	bwd  side
+	pins rows
 }
 
 type side struct {
@@ -55,11 +57,18 @@ func (s *side) relax(v roadnet.VertexID, d float64, from roadnet.VertexID) {
 
 // NewBidirectional returns a bidirectional Dijkstra engine for g.
 func NewBidirectional(g *roadnet.Graph) *Bidirectional {
-	return &Bidirectional{g: g, fwd: newSide(g.N()), bwd: newSide(g.N())}
+	return &Bidirectional{g: g, fwd: newSide(g.N()), bwd: newSide(g.N()), pins: newRows(g)}
 }
 
-// Dist returns the shortest-path cost from u to v.
+// Pin implements Pinner.
+func (b *Bidirectional) Pin(src roadnet.VertexID, radius float64) { b.pins.pin(src, radius) }
+
+// Dist returns the shortest-path cost from u to v, from a pinned row when
+// one covers the pair and by bidirectional search otherwise.
 func (b *Bidirectional) Dist(u, v roadnet.VertexID) float64 {
+	if d, ok := b.pins.lookup(u, v); ok {
+		return d
+	}
 	d, _ := b.search(u, v)
 	return d
 }

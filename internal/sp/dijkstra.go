@@ -6,7 +6,8 @@ import (
 
 // Dijkstra is a single-source shortest-path engine with reusable buffers.
 // Search state is invalidated between queries with an epoch stamp rather
-// than an O(n) clear, so repeated queries on large graphs stay cheap.
+// than an O(n) clear, so repeated queries on large graphs stay cheap. It
+// is a Pinner: Dist answers from a pinned row when it can.
 //
 // Not safe for concurrent use.
 type Dijkstra struct {
@@ -16,6 +17,7 @@ type Dijkstra struct {
 	stamp  []uint32
 	epoch  uint32
 	heap   distHeap
+	pins   rows
 }
 
 // NewDijkstra returns a Dijkstra engine for g.
@@ -26,8 +28,12 @@ func NewDijkstra(g *roadnet.Graph) *Dijkstra {
 		dist:   make([]float64, n),
 		parent: make([]roadnet.VertexID, n),
 		stamp:  make([]uint32, n),
+		pins:   newRows(g),
 	}
 }
+
+// Pin implements Pinner.
+func (d *Dijkstra) Pin(src roadnet.VertexID, radius float64) { d.pins.pin(src, radius) }
 
 func (d *Dijkstra) reset() {
 	d.epoch++
@@ -51,12 +57,22 @@ func (d *Dijkstra) relax(v roadnet.VertexID, dist float64, from roadnet.VertexID
 	}
 }
 
-// Dist returns the shortest-path cost from u to v, terminating the search as
-// soon as v is settled.
+// Dist returns the shortest-path cost from u to v, from a pinned row when
+// one covers the pair, and otherwise by a search that stops as soon as v
+// is settled.
 func (d *Dijkstra) Dist(u, v roadnet.VertexID) float64 {
 	if u == v {
 		return 0
 	}
+	if dist, ok := d.pins.lookup(u, v); ok {
+		return dist
+	}
+	return d.search(u, v)
+}
+
+// search runs the early-exit Dijkstra behind Dist, leaving the parent
+// pointers Path walks.
+func (d *Dijkstra) search(u, v roadnet.VertexID) float64 {
 	d.reset()
 	d.relax(u, 0, -1)
 	for len(d.heap) > 0 {
@@ -85,7 +101,7 @@ func (d *Dijkstra) Path(u, v roadnet.VertexID) []roadnet.VertexID {
 	if u == v {
 		return []roadnet.VertexID{u}
 	}
-	if dist := d.Dist(u, v); dist == Inf {
+	if dist := d.search(u, v); dist == Inf {
 		return nil
 	}
 	return d.walkParents(u, v)

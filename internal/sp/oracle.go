@@ -6,7 +6,9 @@
 //
 // All engines implement the Oracle interface consumed by the scheduling
 // algorithms in internal/core. Distances are in meters, matching
-// roadnet.Graph edge weights; unreachable pairs report +Inf.
+// roadnet.Graph edge weights; unreachable pairs report +Inf. Edge weights
+// are exact multiples of roadnet.WeightQuantum, so every path sum is
+// exact and all engines return the same bits for the same pair.
 package sp
 
 import (
@@ -31,6 +33,12 @@ import (
 // A WorkerSource bridges the two classes: it is shared state that hands
 // out per-goroutine facades, so a worker pool can amortize one cache
 // across all workers while keeping each worker's hot path single-threaded.
+//
+// Per-goroutine engines may also be Pinners (Dijkstra, Bidirectional, and
+// the cache.Oracle and cache.SharedWorker facades, which forward to their
+// engine): a pinned one-to-many row answers Dist for its source in O(1).
+// Pinning mutates the engine, so only per-goroutine engines implement
+// Pinner; for a SharedOracle, sp.Pin is a no-op.
 //
 // The taxonomy is machine-enforced: the oracletaxonomy pass in cmd/vetkit
 // flags per-goroutine oracles crossing a goroutine boundary, factories

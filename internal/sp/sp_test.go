@@ -21,7 +21,8 @@ func testGraph(t testing.TB, seed int64) *roadnet.Graph {
 }
 
 // TestEnginesAgree cross-validates every shortest-path engine against the
-// Floyd–Warshall matrix on random vertex pairs.
+// Floyd–Warshall matrix on random vertex pairs. Edge weights are exact, so
+// the engines must agree bit for bit whatever order they sum in.
 func TestEnginesAgree(t *testing.T) {
 	g := testGraph(t, 1)
 	m, err := NewMatrix(g)
@@ -39,7 +40,7 @@ func TestEnginesAgree(t *testing.T) {
 		v := roadnet.VertexID(rng.Intn(g.N()))
 		want := m.Dist(u, v)
 		for name, e := range engines {
-			if got := e.Dist(u, v); math.Abs(got-want) > 1e-6 {
+			if got := e.Dist(u, v); got != want {
 				t.Fatalf("%s.Dist(%d,%d) = %v, want %v", name, u, v, got, want)
 			}
 		}
